@@ -1,5 +1,12 @@
-//! Specialized frame execution plans — the branch-minimized fast path for
-//! hot cached frames.
+//! Specialized frame execution plans — a branch-minimized compiled
+//! alternative to the frame interpreter.
+//!
+//! The simulator does not use plans: it probes every frame through
+//! [`probe_frame`](crate::probe_frame), because an end-to-end measurement
+//! showed the plan fast path did not make simulation faster (see
+//! `DESIGN.md`, "Hot-path execution"). The plan stays as a measured layer
+//! of the benchmark's per-layer attribution and as layer 4 of
+//! `replay-check`.
 //!
 //! [`probe_frame`](crate::probe_frame) re-derives everything about a frame
 //! on every dynamic hit: each uop re-matches a 26-way opcode enum, each
@@ -7,7 +14,7 @@
 //! store-buffer lookup, and removed-uop bookkeeping (`Nop`, intra-frame
 //! jumps, folded moves) still walks the slots. A hot frame in the frame
 //! cache executes thousands of times with none of that ever changing, so
-//! the simulator "compiles" it once into an [`ExecPlan`]: a flat array of
+//! it can be "compiled" once into an [`ExecPlan`]: a flat array of
 //! fixed-size steps over a register-file-like cell array.
 //!
 //! The compilation pre-resolves every operand to a *cell index*:
@@ -35,10 +42,7 @@
 //! [`ExecPlan::probe`] returns exactly the [`ProbeOutcome`] that
 //! [`probe_frame`](crate::probe_frame) returns, with a byte-identical
 //! transaction list, and [`ExecPlan::exec`] commits exactly what
-//! [`exec_frame`](crate::exec_frame) commits. The simulator still treats
-//! the interpreter as authoritative: any non-completing plan probe is
-//! re-probed through `probe_frame` before the outcome is acted on, so a
-//! plan bug can cost time but never correctness. `replay-check` enforces
+//! [`exec_frame`](crate::exec_frame) commits. `replay-check` enforces
 //! the contract differentially on every generated frame.
 
 use crate::exec::{FrameOutcome, MemTransaction, ProbeOutcome};
@@ -150,10 +154,9 @@ impl PlanScratch {
 
 /// A compiled, branch-minimized execution plan for one optimized frame.
 ///
-/// Built once via [`ExecPlan::compile`] when a cached frame crosses the
-/// specialization threshold; executed with [`ExecPlan::probe`] (the
-/// simulator's path) or [`ExecPlan::exec`] (probe + commit, the
-/// differential-testing path).
+/// Built once via [`ExecPlan::compile`]; executed with [`ExecPlan::probe`]
+/// (outcome and transactions only) or [`ExecPlan::exec`] (probe + commit,
+/// the differential-testing path).
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     steps: Vec<Step>,

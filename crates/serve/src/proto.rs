@@ -88,7 +88,7 @@ pub enum Source {
 }
 
 /// One simulation request: run all four configurations at `scale` and
-/// return the `replay-report/v3` JSON (always the generic core model;
+/// return the `replay-report/v4` JSON (always the generic core model;
 /// port-model runs are a local-CLI concern).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -678,7 +678,7 @@ mod tests {
 
     #[test]
     fn response_round_trips() {
-        let ok = Response::ok(b"{\"schema\":\"replay-report/v3\"}".to_vec());
+        let ok = Response::ok(b"{\"schema\":\"replay-report/v4\"}".to_vec());
         assert_eq!(Response::decode(&ok.encode()).unwrap(), ok);
         let shed = Response::reject(Status::Overloaded, "queue full").with_retry_after(40);
         let back = Response::decode(&shed.encode()).unwrap();

@@ -49,32 +49,6 @@ impl fmt::Display for ConfigKind {
     }
 }
 
-/// Host-side hot-path execution knobs.
-///
-/// These control *how fast the simulator runs*, never *what it computes*:
-/// specialization falls back to the interpreter on any divergence-capable
-/// event, and chunking only changes record batching, so every simulated
-/// number is identical at every setting.
-#[derive(Debug, Clone, Copy)]
-pub struct HotpathConfig {
-    /// Frame-cache hit count after which a cached frame's `OptFrame` is
-    /// compiled to a [`replay_core::ExecPlan`]. `0` disables
-    /// specialization entirely (pure interpreter).
-    pub spec_threshold: u32,
-    /// Trace records fetched per streaming chunk (`0` = unchunked,
-    /// record-at-a-time legacy iteration).
-    pub chunk_records: usize,
-}
-
-impl Default for HotpathConfig {
-    fn default() -> HotpathConfig {
-        HotpathConfig {
-            spec_threshold: 8,
-            chunk_records: 1024,
-        }
-    }
-}
-
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -92,8 +66,6 @@ pub struct SimConfig {
     /// check against the unoptimized form). Slows simulation; on by
     /// default to mirror the paper's methodology.
     pub verify: bool,
-    /// Host-side hot-path execution knobs (specialization + chunking).
-    pub hotpath: HotpathConfig,
 }
 
 impl SimConfig {
@@ -112,7 +84,6 @@ impl SimConfig {
             constructor: ConstructorConfig::default(),
             datapath: DatapathConfig::default(),
             verify: true,
-            hotpath: HotpathConfig::default(),
         }
     }
 
@@ -132,26 +103,6 @@ impl SimConfig {
     /// Disables in-simulation verification (builder style).
     pub fn without_verify(mut self) -> SimConfig {
         self.verify = false;
-        self
-    }
-
-    /// Replaces the specialization threshold (builder style); `0`
-    /// disables specialized frame execution.
-    pub fn with_spec_threshold(mut self, threshold: u32) -> SimConfig {
-        self.hotpath.spec_threshold = threshold;
-        self
-    }
-
-    /// Disables the specialized frame fast path (builder style) — every
-    /// frame probe runs through the interpreter.
-    pub fn without_specialization(self) -> SimConfig {
-        self.with_spec_threshold(0)
-    }
-
-    /// Replaces the streaming chunk size in trace records (builder
-    /// style); `0` disables chunking and decodes record-at-a-time.
-    pub fn with_chunk_records(mut self, records: usize) -> SimConfig {
-        self.hotpath.chunk_records = records;
         self
     }
 }
@@ -199,18 +150,5 @@ mod tests {
         assert_eq!(c.timing.core_model, CoreModel::Generic);
         let c = c.with_core_model(CoreModel::PortAccurate);
         assert_eq!(c.timing.core_model, CoreModel::PortAccurate);
-    }
-
-    #[test]
-    fn hotpath_builders() {
-        let c = SimConfig::new(ConfigKind::ReplayOpt);
-        assert_eq!(c.hotpath.spec_threshold, 8);
-        assert_eq!(c.hotpath.chunk_records, 1024);
-        let c = c.without_specialization();
-        assert_eq!(c.hotpath.spec_threshold, 0);
-        let c = c.with_spec_threshold(3);
-        assert_eq!(c.hotpath.spec_threshold, 3);
-        let c = c.with_chunk_records(7);
-        assert_eq!(c.hotpath.chunk_records, 7);
     }
 }

@@ -18,13 +18,6 @@
 //! concurrent process persisted first. Corrupt bundles — including ones
 //! that pass the container checksum but fail decode or the byte-exact
 //! re-encode gate — are evicted and the run proceeds cold.
-//!
-//! Specialized execution plans ([`replay_core::ExecPlan`]) are **not**
-//! persisted here: a plan is a cheap, deterministic recompilation of its
-//! `OptFrame` (microseconds, triggered by the runner's hit threshold),
-//! so storing one would add a second serialized encoding of frame
-//! semantics to keep honest for zero warm-start win. Warm runs load the
-//! optimized frames and re-earn their plans at runtime.
 
 use replay_core::{frame_codec, AliasProfile, OptConfig, OptFrame, OptScope, OptStats};
 use replay_store::{Digest64, Reader, Store, WireError, Writer};

@@ -1,4 +1,4 @@
-//! The `replay-report/v3` artifact: one JSON document holding the four
+//! The `replay-report/v4` artifact: one JSON document holding the four
 //! per-configuration observability profiles, their deterministic merge,
 //! and (last) the non-reproducible cache-effectiveness section.
 //!
@@ -26,8 +26,16 @@
 //! `timing.port.<p>.contention_cycles` in each configuration's profile.
 //! Generic-model reports carry no `timing.port.*` keys. All new values
 //! are deterministic functions of `(trace, config)`, so v3 retains the
-//! byte-identity across `--jobs` and cache temperature. Consumers that
-//! matched the literal schema string must accept `replay-report/v3`.
+//! byte-identity across `--jobs` and cache temperature.
+//!
+//! **v3 → v4 compatibility**: v4 drops the counters of the retired
+//! specialized frame fast path — `sim.exec.specialized_hits`,
+//! `sim.exec.fallbacks`, `sim.exec.plans_compiled`, and every
+//! `sim.pass.<pass>.dyn_removed_uops_specialized` — from each profile and
+//! from the combined profile. Every other key keeps its meaning and its
+//! value; `sim.chunks` and `sim.pass.<pass>.dyn_removed_uops` stay.
+//! Consumers that matched the literal schema string must accept
+//! `replay-report/v4`.
 
 use crate::experiment::{run_specs, SimSpec};
 use crate::{ConfigKind, SimConfig, SimResult, TraceStore};
@@ -83,7 +91,7 @@ pub fn store_profile() -> replay_obs::Profile {
     obs.into_profile()
 }
 
-/// Renders the `replay-report/v3` JSON document from the four
+/// Renders the `replay-report/v4` JSON document from the four
 /// per-configuration results of [`specs_for_trace_model`].
 ///
 /// Stable machine-readable schema: per-configuration profiles plus the
@@ -100,7 +108,7 @@ pub fn render_report(
     timings: bool,
 ) -> String {
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"replay-report/v3\",\n");
+    json.push_str("{\n  \"schema\": \"replay-report/v4\",\n");
     json.push_str(&format!("  \"workload\": \"{workload}\",\n"));
     json.push_str(&format!("  \"scale\": {scale},\n"));
     json.push_str(&format!("  \"core_model\": \"{}\",\n", model.label()));
@@ -152,7 +160,7 @@ pub fn run_report_model(
 }
 
 /// Removes the trailing non-reproducible `"store"` section from a
-/// `replay-report/v3` document, restoring the closing brace. Two reports
+/// `replay-report/v4` document, restoring the closing brace. Two reports
 /// of the same workload at the same scale compare byte-identical after
 /// this, regardless of worker count or cache temperature. Documents
 /// without a `store` section pass through unchanged.

@@ -12,8 +12,8 @@
 use crate::framestore::{frame_key, FrameBundle};
 use crate::{ConfigKind, Injector, SimConfig, SimResult, TraceEntry, TraceFiller};
 use replay_core::{
-    observe_opt_result, optimize_observed, probe_frame, AliasProfile, ExecPlan, ExecScratch,
-    OptFrame, OptStats, OptimizerDatapath, PassId, PlanScratch, ProbeOutcome,
+    observe_opt_result, optimize_observed, probe_frame, AliasProfile, ExecScratch, OptFrame,
+    OptStats, OptimizerDatapath, PassId, ProbeOutcome,
 };
 use replay_frame::{CacheEntry, FrameCache, FrameConstructor, RetireEvent};
 use replay_obs::Obs;
@@ -23,24 +23,7 @@ use replay_uop::Uop;
 use replay_verify::Verifier;
 use replay_x86::Inst;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Runtime specialization state riding along with a cached frame.
-///
-/// The hit counter and the lazily compiled plan are shared between the
-/// cache-resident entry and the clone the run loop holds during a fetch
-/// (hence `Arc`), and reset naturally whenever a frame is (re)built — a
-/// frame that was invalidated and reconstructed re-earns its plan, which
-/// keeps every count a pure function of the trace.
-#[derive(Debug, Default)]
-struct SpecState {
-    /// Dynamic frame-cache hits served for this cached frame.
-    hits: AtomicU32,
-    /// Compiled once when `hits` crosses the threshold; `Some(None)` means
-    /// compilation was attempted and declined (stay interpreted forever).
-    plan: OnceLock<Option<ExecPlan>>,
-}
+use std::sync::Arc;
 
 /// A frame as stored in the frame cache: the (possibly optimized) renamed
 /// form, costing its *post-optimization* uop count in cache slots — the
@@ -53,8 +36,6 @@ struct CachedFrame {
     /// alongside the frame so every dynamic fetch can attribute its saved
     /// uops to the pass that earned them.
     removed_by_pass: [u64; 7],
-    /// Hit counting + the compiled execution plan (hot frames only).
-    spec: Arc<SpecState>,
 }
 
 impl CacheEntry for CachedFrame {
@@ -68,6 +49,9 @@ impl CacheEntry for CachedFrame {
 
 /// How many recent records feed the alias profiler.
 const ALIAS_WINDOW: usize = 512;
+
+/// Trace records whose decode flows are staged per streaming chunk.
+const CHUNK_RECORDS: usize = 1024;
 
 /// Per-address toucher set for [`Runner::profile_span`]: at most 16
 /// distinct x86 addresses per data address, stored inline so the reusable
@@ -206,6 +190,8 @@ impl FlowArena {
 struct Runner<'a> {
     cfg: &'a SimConfig,
     records: &'a [TraceRecord],
+    /// Records per streaming chunk ([`CHUNK_RECORDS`] outside tests).
+    chunk_records: usize,
     pipeline: Pipeline,
     injector: Injector,
     constructor: FrameConstructor,
@@ -234,26 +220,18 @@ struct Runner<'a> {
     touchers: HashMap<u32, Touchers>,
     /// Chunked decode-flow staging for the streaming hot loop.
     arena: FlowArena,
-    /// Reusable buffers for specialized (plan) probes.
-    plan_scratch: PlanScratch,
     chunks: u64,
-    specialized_hits: u64,
-    spec_fallbacks: u64,
-    plans_compiled: u64,
-    /// Dynamic uops saved on *specialized* fetches, per pass — the subset
-    /// of `dyn_removed_by_pass` earned while the plan fast path served the
-    /// probe.
-    dyn_removed_by_pass_spec: [u64; 7],
 }
 
 impl<'a> Runner<'a> {
-    fn new(trace: &'a Trace, cfg: &'a SimConfig) -> Runner<'a> {
+    fn new(trace: &'a Trace, cfg: &'a SimConfig, chunk_records: usize) -> Runner<'a> {
         let cache_slots = cfg.timing.frame_cache_uops.max(1);
         let mut injector = Injector::new();
         injector.preseed(trace);
         Runner {
             cfg,
             records: trace.records(),
+            chunk_records,
             pipeline: Pipeline::new(cfg.timing.clone()),
             injector,
             constructor: FrameConstructor::new(cfg.constructor.clone()),
@@ -278,24 +256,15 @@ impl<'a> Runner<'a> {
             mem_addrs: Vec::new(),
             touchers: HashMap::new(),
             arena: FlowArena::default(),
-            plan_scratch: PlanScratch::new(),
             chunks: 0,
-            specialized_hits: 0,
-            spec_fallbacks: 0,
-            plans_compiled: 0,
-            dyn_removed_by_pass_spec: [0; 7],
         }
     }
 
     /// Stages the next chunk of decode flows starting at record `start`.
     fn refill_arena(&mut self, start: usize) {
         let span = self.obs.start_span();
-        self.arena.refill(
-            &mut self.injector,
-            self.records,
-            start,
-            self.cfg.hotpath.chunk_records,
-        );
+        self.arena
+            .refill(&mut self.injector, self.records, start, self.chunk_records);
         self.obs.end_span("sim.chunk.fill", span);
         self.chunks += 1;
     }
@@ -462,7 +431,6 @@ impl<'a> Runner<'a> {
                     CachedFrame {
                         opt,
                         removed_by_pass: stats.removed_by_pass,
-                        spec: Arc::new(SpecState::default()),
                     },
                     frame.orig_uop_count,
                     now,
@@ -482,7 +450,6 @@ impl<'a> Runner<'a> {
                 self.frame_cache.insert(CachedFrame {
                     opt: Arc::new(opt),
                     removed_by_pass: [0; 7],
-                    spec: Arc::new(SpecState::default()),
                 });
             }
         }
@@ -493,68 +460,17 @@ impl<'a> Runner<'a> {
     fn fetch_frame_instance(&mut self, cached: &CachedFrame, i: usize) -> usize {
         let opt: &OptFrame = &cached.opt;
         let n = opt.x86_count();
-        // Specialized fast path: once this cached frame has crossed the
-        // hit threshold, its compiled plan probes instead of the
-        // interpreter. Only a plan probe that *completes* is trusted; any
-        // assert fire, unsafe-store conflict, or fault falls back to
-        // `probe_frame`, which stays authoritative for failure attribution
-        // (so results are bit-identical with specialization on or off).
-        let threshold = self.cfg.hotpath.spec_threshold;
-        let mut specialized = false;
-        let mut plan_outcome = None;
-        if threshold > 0 {
-            let hits = cached.spec.hits.fetch_add(1, Ordering::Relaxed) + 1;
-            if hits >= threshold {
-                let plans_compiled = &mut self.plans_compiled;
-                let plan = cached.spec.plan.get_or_init(|| {
-                    let p = ExecPlan::compile(opt);
-                    if p.is_some() {
-                        *plans_compiled += 1;
-                    }
-                    p
-                });
-                if let Some(plan) = plan.as_ref() {
-                    let o = plan.probe(self.injector.golden(), &mut self.plan_scratch);
-                    if o == ProbeOutcome::Completed {
-                        specialized = true;
-                        self.specialized_hits += 1;
-                        plan_outcome = Some(o);
-                    } else {
-                        self.spec_fallbacks += 1;
-                    }
-                }
-            }
-        }
         // Probe against the golden state without committing: the runner
-        // retires the traced records through `consume` either way, so the
-        // old clone-execute-discard of the sparse memory image was pure
-        // allocation overhead.
-        let outcome = match plan_outcome {
-            Some(o) => o,
-            None => probe_frame(opt, self.injector.golden(), &mut self.scratch),
-        };
+        // retires the traced records through `consume` either way.
+        let outcome = probe_frame(opt, self.injector.golden(), &mut self.scratch);
         let path_ok = (0..n)
             .all(|j| i + j < self.records.len() && self.records[i + j].addr == opt.x86_addrs[j]);
 
         if path_ok && outcome == ProbeOutcome::Completed {
             self.mem_addrs.clear();
             self.mem_addrs.resize(opt.len(), None);
-            let txns = if specialized {
-                self.plan_scratch.transactions()
-            } else {
-                self.scratch.transactions()
-            };
-            for t in txns {
+            for t in self.scratch.transactions() {
                 self.mem_addrs[t.uop_index] = Some(t.addr);
-            }
-            if specialized {
-                for (d, r) in self
-                    .dyn_removed_by_pass_spec
-                    .iter_mut()
-                    .zip(cached.removed_by_pass)
-                {
-                    *d += r;
-                }
             }
             let exit_rec = &self.records[i + n - 1];
             self.pipeline.fetch_frame(&FrameFetch {
@@ -585,15 +501,6 @@ impl<'a> Runner<'a> {
         // conflict, fault, or (rarely) a divergence the optimizer proved
         // away. Charge the pessimistic recovery, then refetch the original
         // instructions from the ICache along the *actual* path.
-        if std::env::var_os("REPLAY_DEBUG_ABORTS").is_some() {
-            if let ProbeOutcome::AssertFired { uop_index } = outcome {
-                let u = opt.slot(uop_index as replay_core::Slot);
-                eprintln!(
-                    "abort: {} @x86 {:#x} frame {:#x}",
-                    u, u.x86_addr, opt.start_addr
-                );
-            }
-        }
         let fails_at = match outcome {
             ProbeOutcome::AssertFired { uop_index } => uop_index,
             ProbeOutcome::UnsafeConflict {
@@ -635,10 +542,9 @@ impl<'a> Runner<'a> {
     }
 
     fn run(mut self) -> SimResult {
-        let chunking = self.cfg.hotpath.chunk_records > 0;
         let mut i = 0usize;
         while i < self.records.len() {
-            if chunking && i >= self.arena.end() {
+            if i >= self.arena.end() {
                 self.refill_arena(i);
             }
             if self.cfg.kind == ConfigKind::ReplayOpt {
@@ -743,21 +649,12 @@ impl<'a> Runner<'a> {
         self.obs.counter("sim.frames_x86", self.frames_x86);
         self.obs
             .counter("sim.path_mismatches", self.path_mismatch_completions);
-        self.obs
-            .counter("sim.exec.specialized_hits", self.specialized_hits);
-        self.obs.counter("sim.exec.fallbacks", self.spec_fallbacks);
-        self.obs
-            .counter("sim.exec.plans_compiled", self.plans_compiled);
         self.obs.counter("sim.chunks", self.chunks);
         for (pi, pass) in PassId::ALL.into_iter().enumerate() {
             if self.obs.enabled() {
                 self.obs.counter(
                     &format!("sim.pass.{}.dyn_removed_uops", pass.name()),
                     self.dyn_removed_by_pass[pi],
-                );
-                self.obs.counter(
-                    &format!("sim.pass.{}.dyn_removed_uops_specialized", pass.name()),
-                    self.dyn_removed_by_pass_spec[pi],
                 );
             }
         }
@@ -799,7 +696,13 @@ impl<'a> Runner<'a> {
 /// assert!(r.ipc() > 0.1);
 /// ```
 pub fn simulate(trace: &Trace, cfg: &SimConfig) -> SimResult {
-    let mut result = Runner::new(trace, cfg).run();
+    simulate_chunked(trace, cfg, CHUNK_RECORDS)
+}
+
+/// [`simulate`] with an explicit streaming chunk length, so tests can put
+/// chunk boundaries inside frame instances.
+pub(crate) fn simulate_chunked(trace: &Trace, cfg: &SimConfig, chunk_records: usize) -> SimResult {
+    let mut result = Runner::new(trace, cfg, chunk_records).run();
     result.workload = trace.name.clone();
     result
 }
@@ -888,87 +791,29 @@ mod tests {
     }
 
     #[test]
-    fn specialization_and_chunking_never_change_results() {
-        // The hot-path knobs are host-side only: every simulated number
-        // must be bit-identical with specialization/chunking on, off, or
-        // at pathological settings.
+    fn chunk_boundaries_never_change_results() {
+        // Chunking only batches decode; a chunk boundary falling inside a
+        // frame instance (7-record chunks) must leave every simulated
+        // number bit-identical to the default chunk length.
         let trace = short_trace("bzip2", 10_000);
         for kind in [ConfigKind::Replay, ConfigKind::ReplayOpt] {
-            let base = simulate(&trace, &SimConfig::new(kind).without_verify());
-            let eager = simulate(
-                &trace,
-                &SimConfig::new(kind).without_verify().with_spec_threshold(1),
-            );
+            let cfg = SimConfig::new(kind).without_verify();
+            let base = simulate(&trace, &cfg);
+            let r = simulate_chunked(&trace, &cfg, 7);
             assert!(
-                eager.profile.counter("sim.exec.specialized_hits") > 0,
-                "{kind}: threshold 1 should specialize every reused frame"
+                r.profile.counter("sim.chunks") > base.profile.counter("sim.chunks"),
+                "{kind}: short chunks refill more often"
             );
-            let variants = [
-                SimConfig::new(kind)
-                    .without_verify()
-                    .without_specialization(),
-                SimConfig::new(kind).without_verify().with_spec_threshold(1),
-                {
-                    let mut c = SimConfig::new(kind).without_verify();
-                    c.hotpath.chunk_records = 0;
-                    c
-                },
-                {
-                    let mut c = SimConfig::new(kind).without_verify();
-                    c.hotpath.chunk_records = 7;
-                    c.hotpath.spec_threshold = 2;
-                    c
-                },
-            ];
-            for (vi, cfg) in variants.iter().enumerate() {
-                let r = simulate(&trace, cfg);
-                assert_eq!(base.cycles, r.cycles, "{kind} variant {vi}: cycles");
-                assert_eq!(base.x86_retired, r.x86_retired, "{kind} variant {vi}");
-                assert_eq!(
-                    base.coverage.to_bits(),
-                    r.coverage.to_bits(),
-                    "{kind} variant {vi}: coverage"
-                );
-                assert_eq!(
-                    base.assert_events, r.assert_events,
-                    "{kind} variant {vi}: aborts"
-                );
-                assert_eq!(
-                    base.dyn_uops_removed, r.dyn_uops_removed,
-                    "{kind} variant {vi}: removal"
-                );
-            }
+            assert_eq!(base.cycles, r.cycles, "{kind}: cycles");
+            assert_eq!(base.x86_retired, r.x86_retired, "{kind}: retired");
+            assert_eq!(
+                base.coverage.to_bits(),
+                r.coverage.to_bits(),
+                "{kind}: coverage"
+            );
+            assert_eq!(base.assert_events, r.assert_events, "{kind}: aborts");
+            assert_eq!(base.dyn_uops_removed, r.dyn_uops_removed, "{kind}: removal");
         }
-    }
-
-    #[test]
-    fn specialized_attribution_is_a_subset_of_total() {
-        let trace = short_trace("bzip2", 10_000);
-        let r = simulate(&trace, &SimConfig::new(ConfigKind::ReplayOpt));
-        let total: u64 = PassId::ALL
-            .into_iter()
-            .map(|p| {
-                r.profile
-                    .counter(&format!("sim.pass.{}.dyn_removed_uops", p.name()))
-            })
-            .sum();
-        let spec: u64 = PassId::ALL
-            .into_iter()
-            .map(|p| {
-                r.profile.counter(&format!(
-                    "sim.pass.{}.dyn_removed_uops_specialized",
-                    p.name()
-                ))
-            })
-            .sum();
-        assert!(spec > 0, "hot frames should retire specialized uop savings");
-        assert!(spec <= total, "specialized subset exceeds total");
-        assert!(
-            r.profile.counter("sim.exec.plans_compiled") > 0
-                && r.profile.counter("sim.exec.plans_compiled")
-                    <= r.profile.counter("sim.exec.specialized_hits"),
-            "plans compile once and serve many hits"
-        );
     }
 
     #[test]

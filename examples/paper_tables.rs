@@ -1,9 +1,8 @@
-//! Regenerates the paper-evaluation tables pinned in `EXPERIMENTS.md`
-//! — Table 3 (uop/load removal), Figure 6 (IPC by configuration), and
-//! the Figures 7/8 Frame-cycle reduction headline — using only the
-//! workspace crates. The criterion harnesses under `crates/bench` print
-//! the same numbers but need a network fetch to build; this example is
-//! what an offline re-pin uses.
+//! Regenerates every number pinned in `EXPERIMENTS.md` — Table 3
+//! (uop/load removal), Figure 6 (IPC by configuration), the Figures 7/8
+//! Frame-cycle reduction headline, Figures 9 and 10, the §5.1.1
+//! uop-per-x86 ratio, the design-choice sweeps, and the dual-model pass
+//! profit ranking — using only the workspace crates.
 //!
 //! ```text
 //! cargo run --release -p replay-examples --bin paper_tables [SCALE] [--core-model MODEL]
@@ -16,7 +15,7 @@
 //! table on the port-accurate core model; the `models` mode prints the
 //! dual-model seven-pass profit ranking pinned in EXPERIMENTS.md.
 
-use replay_core::DatapathConfig;
+use replay_core::{DatapathConfig, OptConfig};
 use replay_sim::experiment::{
     ablation_model, cycle_breakdown_model, ipc_comparison_model, pass_profit_jobs,
     removal_averages, removal_table_model, scope_comparison_model, ABLATION_APPS, ABLATION_LABELS,
@@ -25,10 +24,10 @@ use replay_sim::experiment::{
 use replay_sim::{parallel, simulate, ConfigKind, CoreModel, SimConfig};
 use replay_timing::CycleBin;
 use replay_trace::{workloads, Suite};
+use replay_x86::Interp;
 
 /// The design-choice sweep data points quoted in EXPERIMENTS.md's
-/// "Design-choice sweeps" section (the full grids are in
-/// `crates/bench/benches/ablation_sweeps.rs`, which needs criterion).
+/// "Design-choice sweeps" section.
 fn sweeps(scale: usize) {
     let n = scale.min(20_000);
     let run = |cfg: &SimConfig| {
@@ -60,6 +59,49 @@ fn sweeps(scale: usize) {
         print!(" {:.2}", run(&cfg));
     }
     println!();
+    print!("frame cache capacity (1K, 16K, 64K uops):");
+    for cap in [1024usize, 16 * 1024, 64 * 1024] {
+        let mut cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
+        cfg.timing.frame_cache_uops = cap;
+        print!(" {:.2}", run(&cfg));
+    }
+    println!();
+    print!("position-field rescheduling (off, on):");
+    for on in [false, true] {
+        let cfg = SimConfig::new(ConfigKind::ReplayOpt)
+            .with_opt(OptConfig {
+                reschedule: on,
+                ..OptConfig::default()
+            })
+            .without_verify();
+        print!(" {:.2}", run(&cfg));
+    }
+    println!();
+}
+
+/// §5.1.1: the translator's average uops per x86 instruction over every
+/// workload's first segment, with the per-workload range (paper: 1.4).
+fn uop_ratio(scale: usize) {
+    let n = scale.min(20_000);
+    let (mut x86, mut uops) = (0u64, 0u64);
+    let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+    for w in workloads::all() {
+        let (program, data) = w.segment_program(0);
+        let mut interp = Interp::new(program);
+        for (addr, bytes) in &data {
+            interp.machine.mem.write_bytes(*addr, bytes);
+        }
+        interp.run(n).expect("workload runs");
+        let t = interp.translator();
+        lo = lo.min(t.ratio());
+        hi = hi.max(t.ratio());
+        x86 += t.x86_count();
+        uops += t.uop_count();
+    }
+    println!(
+        "§5.1.1 — uops per x86 instruction (scale {n}): average {:.2}, range {lo:.2}-{hi:.2} (paper: 1.4)",
+        uops as f64 / x86 as f64
+    );
 }
 
 /// The dual-model seven-pass profit ranking (EXPERIMENTS.md "Pass profit
@@ -216,4 +258,7 @@ fn main() {
         }
         println!();
     }
+
+    println!();
+    uop_ratio(scale);
 }

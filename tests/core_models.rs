@@ -4,7 +4,7 @@
 //! `replay-timing`'s `ports` module): the paper's class-banked generic
 //! model and the port-accurate model with named issue ports and
 //! uops.info-seeded latencies. Both must honor the repository's
-//! determinism contract — byte-identical `replay-report/v3` artifacts at
+//! determinism contract — byte-identical `replay-report/v4` artifacts at
 //! any worker count and any cache temperature — and the generic model's
 //! artifact must not move when the port model exists but is not selected.
 //! The latter is pinned against a committed golden report
@@ -54,6 +54,13 @@ fn generic_report_matches_committed_golden() {
     let golden = include_str!("golden/report_gzip_4000.json");
     let trace = Arc::new(workloads::by_name("gzip").unwrap().segment_trace(0, SCALE));
     let (_, json) = run_report_model(&trace, 1, false, CoreModel::Generic);
+    assert!(json.contains("\"schema\": \"replay-report/v4\""));
+    // v4 dropped the retired specialized fast path's counters.
+    assert!(!json.contains("sim.exec."), "v4 carries no sim.exec.* keys");
+    assert!(
+        !json.contains("_specialized"),
+        "v4 carries no *_specialized keys"
+    );
     assert_eq!(
         strip_store_section(&json),
         golden,
