@@ -48,6 +48,33 @@ impl AliasProfile {
         self.pairs.contains(&Self::key(a, b))
     }
 
+    /// Every recorded pair `(a, b)` with `a <= b` and both ends in
+    /// `addrs`, in ascending order: the part of the relation a query
+    /// restricted to `addrs` can observe. `addrs` must be sorted and
+    /// deduplicated.
+    pub fn pairs_among(&self, addrs: &[u32]) -> Vec<(u32, u32)> {
+        debug_assert!(addrs.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+        let candidates = addrs.len() * (addrs.len() + 1) / 2;
+        let mut out: Vec<(u32, u32)> = if self.pairs.len() < candidates {
+            // Fewer recorded pairs than candidate pairs: filter the profile.
+            let within = |a: &u32| addrs.binary_search(a).is_ok();
+            self.pairs
+                .iter()
+                .filter(|(a, b)| within(a) && within(b))
+                .copied()
+                .collect()
+        } else {
+            addrs
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &a)| addrs[i..].iter().map(move |&b| (a, b)))
+                .filter(|&(a, b)| self.aliased(a, b))
+                .collect()
+        };
+        out.sort_unstable();
+        out
+    }
+
     /// Number of recorded aliasing pairs.
     pub fn len(&self) -> usize {
         self.pairs.len()
@@ -89,6 +116,24 @@ mod tests {
         a.merge(&b);
         assert!(a.aliased(1, 2) && a.aliased(3, 4));
         assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn pairs_among_restricts_and_sorts() {
+        let mut p = AliasProfile::new();
+        p.record(0x30, 0x10);
+        p.record(0x10, 0x10);
+        p.record(0x20, 0x90);
+        // Few candidates (filters candidate pairs) and many (filters the
+        // profile) give the same answer.
+        assert_eq!(
+            p.pairs_among(&[0x10, 0x30]),
+            vec![(0x10, 0x10), (0x10, 0x30)]
+        );
+        let wide: Vec<u32> = (0..0x40).collect();
+        assert_eq!(p.pairs_among(&wide), vec![(0x10, 0x10), (0x10, 0x30)]);
+        assert!(p.pairs_among(&[0x20]).is_empty());
+        assert!(AliasProfile::empty().pairs_among(&wide).is_empty());
     }
 
     #[test]

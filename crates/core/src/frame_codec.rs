@@ -17,14 +17,14 @@
 use crate::frame_ir::OptFrame;
 use crate::ir::{FlagsSrc, OptUop, Src};
 use crate::stats::OptStats;
-use replay_frame::{ControlExpectation, FrameId};
+use replay_frame::ControlExpectation;
 use replay_store::{Reader, WireError, Writer};
 use replay_uop::{ArchReg, Cond, Opcode};
 
 /// Frame encoding version. Bump on any layout or semantic change; the
 /// artifact key includes it, so stale artifacts are simply never found.
 /// The byte stream echoes it too, guarding mislabeled files.
-pub const FRAME_CODEC_VERSION: u32 = 1;
+pub const FRAME_CODEC_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -99,7 +99,6 @@ fn put_uop(w: &mut Writer, u: &OptUop) {
 /// Appends a frame's encoding to a writer (for embedding in bundles).
 pub fn write_frame(w: &mut Writer, f: &OptFrame) {
     w.put_u32(FRAME_CODEC_VERSION);
-    w.put_u64(f.id.0);
     w.put_u32(f.start_addr);
     w.put_u32(f.exit_next);
     w.put_u32(f.orig_uop_count as u32);
@@ -312,7 +311,6 @@ pub fn read_frame(r: &mut Reader<'_>) -> Result<OptFrame, WireError> {
             value: version as u64,
         });
     }
-    let id = FrameId(r.get_u64("frame id")?);
     let start_addr = r.get_u32("start address")?;
     let exit_next = r.get_u32("exit address")?;
     let orig_uop_count = r.get_u32("original uop count")? as usize;
@@ -380,7 +378,6 @@ pub fn read_frame(r: &mut Reader<'_>) -> Result<OptFrame, WireError> {
     }
 
     let mut f = OptFrame {
-        id,
         start_addr,
         exit_next,
         x86_addrs,
@@ -450,7 +447,7 @@ pub fn read_stats(r: &mut Reader<'_>) -> Result<OptStats, WireError> {
 mod tests {
     use super::*;
     use crate::{optimize, AliasProfile, OptConfig};
-    use replay_frame::Frame;
+    use replay_frame::{Frame, FrameId};
     use replay_uop::{ArchReg, Uop};
 
     fn sample_frame() -> Frame {
@@ -489,6 +486,25 @@ mod tests {
         assert_eq!(decoded.load_count(), opt.load_count());
         assert_eq!(decoded.listing(), opt.listing());
         decoded.validate().expect("decoded frame is consistent");
+    }
+
+    #[test]
+    fn encoding_does_not_depend_on_construction_id() {
+        // The constructor's running frame counter is not an optimization
+        // input: two constructions of the same frame must optimize to the
+        // same bytes, so a store key over them names one entry.
+        let a = sample_frame();
+        let mut b = sample_frame();
+        b.id = FrameId(7);
+        let cfg = OptConfig::default();
+        let (opt_a, stats_a) = optimize(&a, &AliasProfile::empty(), &cfg);
+        let (opt_b, stats_b) = optimize(&b, &AliasProfile::empty(), &cfg);
+        assert_eq!(encode_frame(&opt_a), encode_frame(&opt_b));
+        assert_eq!(stats_a, stats_b);
+        assert_eq!(
+            encode_frame(&OptFrame::from_frame(&a)),
+            encode_frame(&OptFrame::from_frame(&b))
+        );
     }
 
     #[test]

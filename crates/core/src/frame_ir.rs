@@ -1,7 +1,7 @@
 //! The optimization buffer: a frame in renamed, slot-indexed form.
 
 use crate::ir::{FlagsSrc, Operand, OptUop, Slot, Src};
-use replay_frame::{ControlExpectation, Frame, FrameId};
+use replay_frame::{ControlExpectation, Frame};
 use replay_uop::{ArchReg, Opcode, RegSet};
 
 /// A frame in the optimizer's renamed representation (§4 of the paper).
@@ -21,8 +21,6 @@ use replay_uop::{ArchReg, Opcode, RegSet};
 /// consistent.
 #[derive(Debug, Clone)]
 pub struct OptFrame {
-    /// Frame identity (inherited from construction).
-    pub id: FrameId,
     /// x86 entry address.
     pub start_addr: u32,
     /// Address execution continues at after a clean frame completion.
@@ -111,7 +109,6 @@ impl OptFrame {
 
         let orig_load_count = slots.iter().filter(|u| u.is_load()).count();
         let mut f = OptFrame {
-            id: frame.id,
             start_addr: frame.start_addr,
             exit_next: frame.exit_next,
             x86_addrs: frame.x86_addrs.clone(),
@@ -706,6 +703,7 @@ impl OptFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use replay_frame::FrameId;
     use replay_uop::{Cond, Uop};
 
     /// Frame used in most tests, modeled on the paper's Figure 2 prologue:

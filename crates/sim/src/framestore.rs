@@ -1,18 +1,21 @@
-//! Persistent caching of *optimized frames* — the disk layer beneath the
-//! frame-cache fill path.
+//! Caching of *optimized frames*: the in-run memo key and the disk layer
+//! beneath it.
 //!
-//! Optimizing a frame is a pure function of three inputs: the remapped
+//! Optimizing a frame is a pure function of three inputs: the constructed
 //! frame itself, the [`OptConfig`], and the alias-profile facts the
 //! memory pass can query (the `aliased()` relation restricted to the
-//! frame's memory uops — the optimizer's single profile query site). A
-//! [`FrameBundle`] keys each optimized frame by a digest of exactly those
-//! inputs, so a warm run that reconstructs the same frame under the same
-//! profile state gets the *bit-identical* optimization result without
-//! running a single pass — and a frame rebuilt under a different profile
-//! (say, after an unsafe-store conflict taught the profiler a new alias
-//! pair) gets a different key and a fresh optimization.
+//! frame's memory uops — the optimizer's single profile query site). An
+//! [`OptKey`] holds exactly the frame and those facts, and each RPO run
+//! memoizes one optimization per distinct key, so a frame the constructor
+//! rebuilds under the same profile state is optimized once per run. A
+//! frame rebuilt under a different profile (say, after an unsafe-store
+//! conflict taught the profiler a new alias pair) gets a different key
+//! and a fresh optimization.
 //!
-//! One bundle artifact holds every optimized frame of one
+//! Beneath the memo, a [`FrameBundle`] keys each optimized frame by a
+//! digest of the same inputs ([`frame_key`]), so a warm run gets the
+//! *bit-identical* optimization result without running a single pass.
+//! One bundle artifact holds every distinct optimized frame of one
 //! `(trace, optimizer configuration)` pair, persisted through
 //! [`replay_store::Store`] at the end of a run and merged with whatever a
 //! concurrent process persisted first. Corrupt bundles — including ones
@@ -20,9 +23,11 @@
 //! re-encode gate — are evicted and the run proceeds cold.
 
 use replay_core::{frame_codec, AliasProfile, OptConfig, OptFrame, OptScope, OptStats};
+use replay_frame::{Frame, FrameId};
 use replay_store::{Digest64, Reader, Store, WireError, Writer};
 use replay_trace::{trace_digest, Trace};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Artifact class of persisted frame bundles.
@@ -60,31 +65,72 @@ fn bundle_key(trace: &Trace, cfg: &OptConfig) -> Option<u64> {
     Some(d.finish())
 }
 
-/// Digest of one frame's optimization inputs: the remapped
-/// (pre-optimization) frame's exact encoding plus the alias-profile
-/// relation restricted to the frame's memory instructions.
-///
-/// The restriction is sound because the optimizer's only profile query
-/// site asks `aliased(a, b)` for x86 addresses of memory uops within the
-/// frame being optimized — hashing that whole sub-relation covers every
-/// answer the passes can observe.
-pub(crate) fn frame_key(raw: &OptFrame, profile: &AliasProfile) -> u64 {
+/// The exact inputs of one frame's optimization under a fixed
+/// [`OptConfig`]: the constructed frame and the alias pairs among its
+/// memory instructions. Equal keys optimize to identical results, and
+/// lookups compare keys by full equality, so a memo hit can never return
+/// another frame's optimization.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct OptKey {
+    /// The constructed frame, its construction counter cleared: the
+    /// counter differs on every construction and no pass reads it.
+    frame: Frame,
+    /// Every `(a, b)` with `a <= b` among the x86 addresses of the frame's
+    /// memory uops that the profile reports as aliased, sorted.
+    ///
+    /// The restriction is sound because the optimizer's only profile query
+    /// site asks `aliased(a, b)` for x86 addresses of memory uops within
+    /// the frame being optimized — this sub-relation covers every answer
+    /// the passes can observe.
+    aliases: Vec<(u32, u32)>,
+}
+
+/// Hashes the fields that tell frames apart cheaply — the x86 path, the
+/// uop and assertion counts, the alias pairs — and leaves the uop bodies
+/// to `Eq`: hashing every uop cost about eight times as much per lookup,
+/// and equal keys still hash equally.
+impl Hash for OptKey {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.frame.start_addr.hash(h);
+        self.frame.x86_addrs.hash(h);
+        self.frame.uops.len().hash(h);
+        self.frame.expectations.len().hash(h);
+        self.aliases.hash(h);
+    }
+}
+
+impl OptKey {
+    /// The key for optimizing `frame` against `profile`.
+    pub fn new(mut frame: Frame, profile: &AliasProfile) -> OptKey {
+        frame.id = FrameId(0);
+        let mut addrs: Vec<u32> = frame
+            .uops
+            .iter()
+            .filter(|u| u.is_load() || u.is_store())
+            .map(|u| u.x86_addr)
+            .collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let aliases = profile.pairs_among(&addrs);
+        OptKey { frame, aliases }
+    }
+
+    /// The frame to optimize.
+    pub fn frame(&self) -> &Frame {
+        &self.frame
+    }
+}
+
+/// Digest of one frame's optimization inputs, the bundle's per-frame key:
+/// the remapped (pre-optimization) frame's exact encoding plus the key's
+/// alias pairs.
+pub(crate) fn frame_key(key: &OptKey) -> u64 {
     let mut d = Digest64::new();
-    d.write(&frame_codec::encode_frame(raw));
-    let mut addrs: Vec<u32> = raw
-        .iter()
-        .filter(|(_, u)| u.is_load() || u.is_store())
-        .map(|(_, u)| u.x86_addr)
-        .collect();
-    addrs.sort_unstable();
-    addrs.dedup();
-    for (i, &a) in addrs.iter().enumerate() {
-        for &b in &addrs[i..] {
-            if profile.aliased(a, b) {
-                d.write_u32(a);
-                d.write_u32(b);
-            }
-        }
+    let raw = OptFrame::from_frame(&key.frame);
+    d.write(&frame_codec::encode_frame(&raw));
+    for &(a, b) in &key.aliases {
+        d.write_u32(a);
+        d.write_u32(b);
     }
     d.finish()
 }
@@ -123,7 +169,7 @@ fn decode_bundle(payload: &[u8]) -> Result<Entries, WireError> {
 }
 
 /// The per-run view of one `(trace, optimizer config)` bundle: loaded
-/// once when the run starts, consulted on every frame construction,
+/// once when the run starts, consulted on every in-run memo miss,
 /// persisted (merged with the on-disk state) when the run ends.
 pub(crate) struct FrameBundle {
     store: &'static Store,
@@ -206,11 +252,10 @@ impl FrameBundle {
 mod tests {
     use super::*;
     use replay_core::optimize;
-    use replay_frame::{Frame, FrameId};
     use replay_uop::{ArchReg, Uop};
 
-    fn sample_raw() -> OptFrame {
-        let frame = Frame {
+    fn sample_frame() -> Frame {
+        Frame {
             id: FrameId(1),
             start_addr: 0x400,
             uops: vec![
@@ -222,45 +267,56 @@ mod tests {
             expectations: vec![],
             exit_next: 0x500,
             orig_uop_count: 2,
-        };
-        OptFrame::from_frame(&frame)
+        }
+    }
+
+    fn sample_raw() -> OptFrame {
+        OptFrame::from_frame(&sample_frame())
     }
 
     #[test]
     fn frame_key_sensitive_to_relevant_alias_pairs_only() {
-        let raw = sample_raw();
+        let key = |profile: &AliasProfile| frame_key(&OptKey::new(sample_frame(), profile));
         let empty = AliasProfile::empty();
-        let base = frame_key(&raw, &empty);
-        assert_eq!(base, frame_key(&raw, &empty), "deterministic");
+        let base = key(&empty);
+        assert_eq!(base, key(&empty), "deterministic");
 
         // A pair between this frame's memory uops changes the key...
         let mut relevant = AliasProfile::empty();
         relevant.record(0x400, 0x402);
-        assert_ne!(frame_key(&raw, &relevant), base);
+        assert_ne!(key(&relevant), base);
 
         // ...a pair between unrelated instructions does not.
         let mut irrelevant = AliasProfile::empty();
         irrelevant.record(0x9000, 0x9004);
-        assert_eq!(frame_key(&raw, &irrelevant), base);
+        assert_eq!(key(&irrelevant), base);
+        assert_eq!(
+            OptKey::new(sample_frame(), &irrelevant),
+            OptKey::new(sample_frame(), &empty)
+        );
+    }
+
+    #[test]
+    fn frame_key_ignores_construction_id() {
+        // Two constructions of one frame differ only in the constructor's
+        // running counter; they must name one bundle entry.
+        let profile = AliasProfile::empty();
+        let first = sample_frame();
+        let mut again = sample_frame();
+        again.id = FrameId(27);
+        let (a, b) = (OptKey::new(first, &profile), OptKey::new(again, &profile));
+        assert_eq!(a, b);
+        assert_eq!(frame_key(&a), frame_key(&b));
     }
 
     #[test]
     fn bundle_encoding_is_canonical_and_round_trips() {
         let raw = sample_raw();
-        let frame = Frame {
-            id: FrameId(1),
-            start_addr: 0x400,
-            uops: vec![
-                Uop::store(ArchReg::Esp, -4, ArchReg::Ebp).at(0x400),
-                Uop::load(ArchReg::Ebx, ArchReg::Esp, -4).at(0x402),
-            ],
-            x86_addrs: vec![0x400, 0x402],
-            block_starts: vec![0],
-            expectations: vec![],
-            exit_next: 0x500,
-            orig_uop_count: 2,
-        };
-        let (opt, stats) = optimize(&frame, &AliasProfile::empty(), &OptConfig::default());
+        let (opt, stats) = optimize(
+            &sample_frame(),
+            &AliasProfile::empty(),
+            &OptConfig::default(),
+        );
         let mut entries = Entries::new();
         entries.insert(7, (Arc::new(opt), stats));
         entries.insert(3, (Arc::new(raw), OptStats::default()));
@@ -275,9 +331,8 @@ mod tests {
 
     #[test]
     fn corrupt_bundle_decodes_to_error_never_panics() {
-        let raw = sample_raw();
         let mut entries = Entries::new();
-        entries.insert(1, (Arc::new(raw), OptStats::default()));
+        entries.insert(1, (Arc::new(sample_raw()), OptStats::default()));
         let bytes = encode_bundle(&entries);
         for cut in 0..bytes.len() {
             assert!(decode_bundle(&bytes[..cut]).is_err(), "cut {cut}");

@@ -7,9 +7,11 @@
 //! hot paths are allocation-free once warm: the alias window recycles its
 //! address buffers ([`AliasWindow`]), cached frames are [`Arc`]-shared so
 //! a frame-cache hit is a reference-count bump, and frame probes reuse one
-//! [`ExecScratch`] instead of cloning the golden machine state.
+//! [`ExecScratch`] instead of cloning the golden machine state. Under RPO
+//! each distinct optimizer input ([`OptKey`]) is optimized once per run;
+//! later constructions of the same frame share that result.
 
-use crate::framestore::{frame_key, FrameBundle};
+use crate::framestore::{frame_key, FrameBundle, OptKey};
 use crate::{ConfigKind, Injector, SimConfig, SimResult, TraceEntry, TraceFiller};
 use replay_core::{
     observe_opt_result, optimize_observed, probe_frame, AliasProfile, ExecScratch, OptFrame,
@@ -200,8 +202,11 @@ struct Runner<'a> {
     filler: TraceFiller,
     datapath: OptimizerDatapath<CachedFrame>,
     profile: AliasProfile,
+    /// One optimization per distinct optimizer input this run (RPO only).
+    memo: HashMap<OptKey, (Arc<OptFrame>, OptStats)>,
     /// Persistent cache of optimized frames for this `(trace, opt config)`
-    /// pair; present only under RPO when the artifact store is enabled.
+    /// pair, consulted on memo misses; present only under RPO when the
+    /// artifact store is enabled.
     bundle: Option<FrameBundle>,
     verifier: Verifier,
     opt_stats: OptStats,
@@ -240,6 +245,7 @@ impl<'a> Runner<'a> {
             filler: TraceFiller::new(),
             datapath: OptimizerDatapath::new(cfg.datapath),
             profile: AliasProfile::new(),
+            memo: HashMap::new(),
             bundle: (cfg.kind == ConfigKind::ReplayOpt)
                 .then(|| FrameBundle::open(trace, &cfg.opt))
                 .flatten(),
@@ -381,58 +387,41 @@ impl<'a> Runner<'a> {
         match self.cfg.kind {
             ConfigKind::ReplayOpt => {
                 self.profile_span(frame.x86_count());
-                // The remapped pre-optimization frame is both the
-                // persistent-store key input and the verifier reference;
-                // build it only when one of them will use it, keeping the
-                // store-less, verify-less path allocation-lean.
-                let raw = (self.bundle.is_some() || self.cfg.verify)
-                    .then(|| OptFrame::from_frame(&frame));
-                let cached = match (&self.bundle, &raw) {
-                    (Some(bundle), Some(raw)) => {
-                        let key = frame_key(raw, &self.profile);
-                        Some((key, bundle.get(key)))
-                    }
-                    _ => None,
-                };
-                let (opt, stats) = match cached {
-                    Some((_, Some((opt, stats)))) => {
-                        // Warm hit: the stored result is bit-identical to
-                        // what the passes would produce, so emit exactly
-                        // the deterministic counters a fresh optimization
-                        // would have (wall-time spans excluded) and skip
-                        // the passes entirely.
+                let orig_uop_count = frame.orig_uop_count;
+                let key = OptKey::new(frame, &self.profile);
+                let hit = self
+                    .memo
+                    .get(&key)
+                    .map(|(opt, stats)| (Arc::clone(opt), *stats));
+                let distinct = hit.is_none();
+                let (opt, stats) = match hit {
+                    Some((opt, stats)) => {
+                        // The memoized result is exactly what the passes
+                        // would produce, so emit the deterministic counters
+                        // a fresh optimization would have (wall-time spans
+                        // excluded) and skip the passes.
                         observe_opt_result(&mut self.obs, &self.cfg.opt, &stats);
                         (opt, stats)
                     }
-                    Some((key, None)) => {
-                        let (opt, stats) =
-                            optimize_observed(&frame, &self.profile, &self.cfg.opt, &mut self.obs);
-                        let opt = Arc::new(opt);
-                        if let Some(bundle) = self.bundle.as_mut() {
-                            bundle.insert(key, Arc::clone(&opt), stats);
-                        }
-                        (opt, stats)
-                    }
-                    None => {
-                        let (opt, stats) =
-                            optimize_observed(&frame, &self.profile, &self.cfg.opt, &mut self.obs);
-                        (Arc::new(opt), stats)
-                    }
+                    None => self.optimize_distinct(&key),
                 };
                 self.opt_stats += stats;
                 if self.cfg.verify {
-                    let mut raw = raw.expect("reference frame built when verification is on");
+                    let mut raw = OptFrame::from_frame(key.frame());
                     raw.compact();
                     self.verifier.check(&raw, &opt, self.injector.golden());
                 }
+                if distinct {
+                    self.memo.insert(key, (Arc::clone(&opt), stats));
+                }
                 // Frames become visible only after the optimizer datapath's
-                // pipelined latency (10 cycles per uop).
+                // pipelined latency (10 cycles per uop), memo hit or not.
                 self.datapath.offer(
                     CachedFrame {
                         opt,
                         removed_by_pass: stats.removed_by_pass,
                     },
-                    frame.orig_uop_count,
+                    orig_uop_count,
                     now,
                 );
             }
@@ -453,6 +442,27 @@ impl<'a> Runner<'a> {
                 });
             }
         }
+    }
+
+    /// Optimizes a frame the memo has not seen this run: from the
+    /// persistent bundle when the store holds it, else by running the
+    /// passes (and recording the result in the bundle).
+    fn optimize_distinct(&mut self, key: &OptKey) -> (Arc<OptFrame>, OptStats) {
+        let Some(bundle) = self.bundle.as_mut() else {
+            let (opt, stats) =
+                optimize_observed(key.frame(), &self.profile, &self.cfg.opt, &mut self.obs);
+            return (Arc::new(opt), stats);
+        };
+        let bundle_key = frame_key(key);
+        if let Some((opt, stats)) = bundle.get(bundle_key) {
+            observe_opt_result(&mut self.obs, &self.cfg.opt, &stats);
+            return (opt, stats);
+        }
+        let (opt, stats) =
+            optimize_observed(key.frame(), &self.profile, &self.cfg.opt, &mut self.obs);
+        let opt = Arc::new(opt);
+        bundle.insert(bundle_key, Arc::clone(&opt), stats);
+        (opt, stats)
     }
 
     /// Fetches one dynamic instance of a cached frame starting at record
@@ -710,10 +720,89 @@ pub(crate) fn simulate_chunked(trace: &Trace, cfg: &SimConfig, chunk_records: us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use replay_frame::{Frame, FrameId};
     use replay_trace::workloads;
+    use replay_uop::ArchReg;
 
     fn short_trace(name: &str, len: usize) -> Trace {
         workloads::by_name(name).unwrap().segment_trace(0, len)
+    }
+
+    /// A store-then-load frame whose memory instructions sit at 0x400 and
+    /// 0x402, as the constructor's `id`-th construction.
+    fn store_load_frame(id: u64) -> Frame {
+        Frame {
+            id: FrameId(id),
+            start_addr: 0x400,
+            uops: vec![
+                Uop::store(ArchReg::Esp, -4, ArchReg::Ebp).at(0x400),
+                Uop::load(ArchReg::Ebx, ArchReg::Esp, -4).at(0x402),
+            ],
+            x86_addrs: vec![0x400, 0x402],
+            block_starts: vec![0],
+            expectations: vec![],
+            exit_next: 0x500,
+            orig_uop_count: 2,
+        }
+    }
+
+    #[test]
+    fn memo_optimizes_each_distinct_frame_once() {
+        let trace = short_trace("gzip", 100);
+        let cfg = SimConfig::new(ConfigKind::ReplayOpt);
+        let mut r = Runner::new(&trace, &cfg, CHUNK_RECORDS);
+        r.handle_new_frame(store_load_frame(1));
+        r.handle_new_frame(store_load_frame(2));
+        assert_eq!(r.memo.len(), 1, "constructions differing only in id");
+        let cached = r.datapath.take_completed(u64::MAX);
+        assert_eq!(cached.len(), 2, "the datapath still sees every frame");
+        assert!(Arc::ptr_eq(&cached[0].opt, &cached[1].opt));
+        assert_eq!(r.verifier.stats().checked, 2, "every construction verified");
+        let profile = std::mem::take(&mut r.obs).into_profile();
+        assert_eq!(profile.counter("opt.frames"), 2, "hits replay the counters");
+    }
+
+    #[test]
+    fn memo_misses_on_new_alias_facts_about_the_frame_only() {
+        let trace = short_trace("gzip", 100);
+        let cfg = SimConfig::new(ConfigKind::ReplayOpt);
+        let mut r = Runner::new(&trace, &cfg, CHUNK_RECORDS);
+        r.handle_new_frame(store_load_frame(1));
+        // A pair between two of the frame's memory instructions changes
+        // what the optimizer may speculate: a fresh optimization.
+        r.profile.record(0x400, 0x402);
+        r.handle_new_frame(store_load_frame(2));
+        assert_eq!(r.memo.len(), 2);
+        // A pair between unrelated instructions is invisible to it.
+        r.profile.record(0x9000, 0x9004);
+        r.handle_new_frame(store_load_frame(3));
+        assert_eq!(r.memo.len(), 2);
+        let cached = r.datapath.take_completed(u64::MAX);
+        assert!(!Arc::ptr_eq(&cached[0].opt, &cached[1].opt));
+        assert!(Arc::ptr_eq(&cached[1].opt, &cached[2].opt));
+        assert_eq!(r.verifier.stats().failed, 0);
+    }
+
+    #[test]
+    fn every_constructed_frame_is_optimized_and_verified() {
+        // Memo hits still count as optimizations and are still verified
+        // against their own construction.
+        for w in workloads::all() {
+            let trace = w.segment_trace(0, 8_000);
+            let r = simulate(&trace, &SimConfig::new(ConfigKind::ReplayOpt));
+            let name = &w.name;
+            assert!(r.constructor.completed > 0, "{name}: frames built");
+            assert_eq!(
+                r.profile.counter("opt.frames"),
+                r.constructor.completed,
+                "{name}: optimized"
+            );
+            assert_eq!(
+                r.verify.checked, r.constructor.completed,
+                "{name}: verified"
+            );
+            assert_eq!(r.verify.failed, 0, "{name}: sound");
+        }
     }
 
     #[test]
