@@ -117,8 +117,8 @@ sets the worker count; the default is the machine's available parallelism
 and 1 forces the legacy serial path. Results are identical at any count.
 
 Persistent store: sim, compare, and report cache
-synthesized traces and optimized frames under .replay-cache/ so warm
-reruns skip that work with bit-identical results. --cache-dir DIR (or
+synthesized traces under .replay-cache/ so warm reruns skip trace
+synthesis with bit-identical results. --cache-dir DIR (or
 REPLAY_CACHE_DIR) moves the cache; --no-store (or REPLAY_NO_STORE)
 disables it. Corrupt cache artifacts are evicted and regenerated."
     );
@@ -587,8 +587,7 @@ fn cmd_workloads(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies the persistent-store options before the first trace or frame
-/// lookup. `--no-store` disables the artifact store for this invocation;
+/// Applies the persistent-store options before the first trace lookup. `--no-store` disables the artifact store for this invocation;
 /// otherwise the cache root is `--cache-dir DIR`, then the
 /// `REPLAY_CACHE_DIR` environment variable, then `.replay-cache`. The
 /// `REPLAY_NO_STORE` environment variable always wins (it is honored

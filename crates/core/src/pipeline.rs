@@ -259,9 +259,9 @@ pub fn optimize_observed(
 /// (they are nondeterministic and excluded from default renderers).
 ///
 /// [`optimize_observed`] calls this itself; call it directly only when
-/// replaying a previously computed optimization result — e.g. a frame loaded
-/// from the persistent artifact store on a warm start — so cold and warm
-/// runs produce identical observability profiles.
+/// replaying a previously computed optimization result — e.g. a hit in the
+/// simulator's in-run optimization memo — so reusing a result produces the
+/// same observability profile as recomputing it.
 pub fn observe_opt_result(obs: &mut Obs, cfg: &OptConfig, stats: &OptStats) {
     if !obs.enabled() {
         return;

@@ -49,7 +49,7 @@ pub struct OptStats {
     /// `PassId::ALL` order. This is the per-pass `opt.pass.*.rewrites`
     /// observability counter in aggregate form, carried here so a frame
     /// optimized once can replay its exact metric contribution later
-    /// (e.g. on a warm start from the persistent artifact store).
+    /// (e.g. on a hit in the simulator's in-run optimization memo).
     pub rewrites_by_pass: [u64; 7],
 }
 

@@ -40,8 +40,8 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"RSV1");
 pub const VERSION: u16 = 2;
 
 /// Hard ceiling on an artifact class name traveling in a peer message.
-/// Real class names ("trace", "frames") are a few bytes; anything longer
-/// is hostile input and is rejected before allocation.
+/// Real class names (the simulator persists only "trace") are a few bytes;
+/// anything longer is hostile input and is rejected before allocation.
 pub const MAX_CLASS_LEN: usize = 64;
 
 /// Hard ceiling on one frame's payload, request or response (64 MiB).
@@ -387,7 +387,7 @@ impl Response {
 /// [`PeerArtifact`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerFetch {
-    /// Artifact class name ("trace", "frames", …).
+    /// Artifact class name (the simulator persists only "trace").
     pub class: String,
     /// Artifact content key (the store's file-name key).
     pub key: u64,

@@ -41,7 +41,6 @@
 
 mod config;
 pub mod experiment;
-mod framestore;
 mod injector;
 pub mod parallel;
 pub mod report;

@@ -11,13 +11,12 @@
 //! each distinct optimizer input ([`OptKey`]) is optimized once per run;
 //! later constructions of the same frame share that result.
 
-use crate::framestore::{frame_key, FrameBundle, OptKey};
 use crate::{ConfigKind, Injector, SimConfig, SimResult, TraceEntry, TraceFiller};
 use replay_core::{
     observe_opt_result, optimize_observed, probe_frame, AliasProfile, ExecScratch, OptFrame,
     OptStats, OptimizerDatapath, PassId, ProbeOutcome,
 };
-use replay_frame::{CacheEntry, FrameCache, FrameConstructor, RetireEvent};
+use replay_frame::{CacheEntry, Frame, FrameCache, FrameConstructor, FrameId, RetireEvent};
 use replay_obs::Obs;
 use replay_timing::{FetchPath, FrameFetch, Pipeline, X86Fetch};
 use replay_trace::{Trace, TraceRecord};
@@ -25,6 +24,7 @@ use replay_uop::Uop;
 use replay_verify::Verifier;
 use replay_x86::Inst;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A frame as stored in the frame cache: the (possibly optimized) renamed
@@ -189,6 +189,60 @@ impl FlowArena {
     }
 }
 
+/// The exact inputs of one frame's optimization under a fixed
+/// [`replay_core::OptConfig`]: the constructed frame and the alias pairs
+/// among its memory instructions. Optimizing a frame is a pure function of
+/// those and the configuration, so equal keys optimize to identical
+/// results; lookups compare keys by full equality, so a memo hit can never
+/// return another frame's optimization. A frame rebuilt after the profiler
+/// learned a new alias pair among its memory instructions gets a different
+/// key and a fresh optimization.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct OptKey {
+    /// The constructed frame, its construction counter cleared: the
+    /// counter differs on every construction and no pass reads it.
+    frame: Frame,
+    /// Every `(a, b)` with `a <= b` among the x86 addresses of the frame's
+    /// memory uops that the profile reports as aliased, sorted.
+    ///
+    /// The restriction is sound because the optimizer's only profile query
+    /// site asks `aliased(a, b)` for x86 addresses of memory uops within
+    /// the frame being optimized — this sub-relation covers every answer
+    /// the passes can observe.
+    aliases: Vec<(u32, u32)>,
+}
+
+/// Hashes the fields that tell frames apart cheaply — the x86 path, the
+/// uop and assertion counts, the alias pairs — and leaves the uop bodies
+/// to `Eq`: hashing every uop cost about eight times as much per lookup,
+/// and equal keys still hash equally.
+impl Hash for OptKey {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.frame.start_addr.hash(h);
+        self.frame.x86_addrs.hash(h);
+        self.frame.uops.len().hash(h);
+        self.frame.expectations.len().hash(h);
+        self.aliases.hash(h);
+    }
+}
+
+impl OptKey {
+    /// The key for optimizing `frame` against `profile`.
+    fn new(mut frame: Frame, profile: &AliasProfile) -> OptKey {
+        frame.id = FrameId(0);
+        let mut addrs: Vec<u32> = frame
+            .uops
+            .iter()
+            .filter(|u| u.is_load() || u.is_store())
+            .map(|u| u.x86_addr)
+            .collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let aliases = profile.pairs_among(&addrs);
+        OptKey { frame, aliases }
+    }
+}
+
 struct Runner<'a> {
     cfg: &'a SimConfig,
     records: &'a [TraceRecord],
@@ -204,10 +258,6 @@ struct Runner<'a> {
     profile: AliasProfile,
     /// One optimization per distinct optimizer input this run (RPO only).
     memo: HashMap<OptKey, (Arc<OptFrame>, OptStats)>,
-    /// Persistent cache of optimized frames for this `(trace, opt config)`
-    /// pair, consulted on memo misses; present only under RPO when the
-    /// artifact store is enabled.
-    bundle: Option<FrameBundle>,
     verifier: Verifier,
     opt_stats: OptStats,
     frames_x86: u64,
@@ -246,9 +296,6 @@ impl<'a> Runner<'a> {
             datapath: OptimizerDatapath::new(cfg.datapath),
             profile: AliasProfile::new(),
             memo: HashMap::new(),
-            bundle: (cfg.kind == ConfigKind::ReplayOpt)
-                .then(|| FrameBundle::open(trace, &cfg.opt))
-                .flatten(),
             verifier: Verifier::new(),
             opt_stats: OptStats::default(),
             frames_x86: 0,
@@ -403,11 +450,19 @@ impl<'a> Runner<'a> {
                         observe_opt_result(&mut self.obs, &self.cfg.opt, &stats);
                         (opt, stats)
                     }
-                    None => self.optimize_distinct(&key),
+                    None => {
+                        let (opt, stats) = optimize_observed(
+                            &key.frame,
+                            &self.profile,
+                            &self.cfg.opt,
+                            &mut self.obs,
+                        );
+                        (Arc::new(opt), stats)
+                    }
                 };
                 self.opt_stats += stats;
                 if self.cfg.verify {
-                    let mut raw = OptFrame::from_frame(key.frame());
+                    let mut raw = OptFrame::from_frame(&key.frame);
                     raw.compact();
                     self.verifier.check(&raw, &opt, self.injector.golden());
                 }
@@ -442,27 +497,6 @@ impl<'a> Runner<'a> {
                 });
             }
         }
-    }
-
-    /// Optimizes a frame the memo has not seen this run: from the
-    /// persistent bundle when the store holds it, else by running the
-    /// passes (and recording the result in the bundle).
-    fn optimize_distinct(&mut self, key: &OptKey) -> (Arc<OptFrame>, OptStats) {
-        let Some(bundle) = self.bundle.as_mut() else {
-            let (opt, stats) =
-                optimize_observed(key.frame(), &self.profile, &self.cfg.opt, &mut self.obs);
-            return (Arc::new(opt), stats);
-        };
-        let bundle_key = frame_key(key);
-        if let Some((opt, stats)) = bundle.get(bundle_key) {
-            observe_opt_result(&mut self.obs, &self.cfg.opt, &stats);
-            return (opt, stats);
-        }
-        let (opt, stats) =
-            optimize_observed(key.frame(), &self.profile, &self.cfg.opt, &mut self.obs);
-        let opt = Arc::new(opt);
-        bundle.insert(bundle_key, Arc::clone(&opt), stats);
-        (opt, stats)
     }
 
     /// Fetches one dynamic instance of a cached frame starting at record
@@ -615,9 +649,6 @@ impl<'a> Runner<'a> {
             }
         }
         self.pipeline.finish();
-        if let Some(bundle) = &self.bundle {
-            bundle.persist();
-        }
 
         let pstats = self.pipeline.stats();
         let coverage = if pstats.retired_x86 == 0 {
@@ -720,7 +751,6 @@ pub(crate) fn simulate_chunked(trace: &Trace, cfg: &SimConfig, chunk_records: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use replay_frame::{Frame, FrameId};
     use replay_trace::workloads;
     use replay_uop::ArchReg;
 
@@ -744,6 +774,42 @@ mod tests {
             exit_next: 0x500,
             orig_uop_count: 2,
         }
+    }
+
+    #[test]
+    fn opt_key_sensitive_to_relevant_alias_pairs_only() {
+        let key = |profile: &AliasProfile| OptKey::new(store_load_frame(1), profile);
+        let empty = AliasProfile::empty();
+        let base = key(&empty);
+        assert_eq!(base, key(&empty), "deterministic");
+
+        // A pair between this frame's memory uops changes the key...
+        let mut relevant = AliasProfile::empty();
+        relevant.record(0x400, 0x402);
+        assert_ne!(key(&relevant), base);
+
+        // ...a pair between unrelated instructions does not.
+        let mut irrelevant = AliasProfile::empty();
+        irrelevant.record(0x9000, 0x9004);
+        assert_eq!(key(&irrelevant), base);
+    }
+
+    #[test]
+    fn opt_key_ignores_construction_id() {
+        // Two constructions of one frame differ only in the constructor's
+        // running counter; they must name one memo entry.
+        let profile = AliasProfile::empty();
+        let (a, b) = (
+            OptKey::new(store_load_frame(1), &profile),
+            OptKey::new(store_load_frame(27), &profile),
+        );
+        assert_eq!(a, b);
+        let hash = |k: &OptKey| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            k.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&a), hash(&b));
     }
 
     #[test]

@@ -20,9 +20,9 @@ pub const NO_STORE_ENV: &str = "REPLAY_NO_STORE";
 /// A persistent, content-addressed artifact store rooted at one
 /// directory.
 ///
-/// Artifacts are addressed by `(class, key)` — a short class name
-/// (`"trace"`, `"frames"`) and a stable 64-bit content digest of
-/// everything that determines the artifact's bytes. Writers are
+/// Artifacts are addressed by `(class, key)` — a short class name (the
+/// simulator persists one class, `"trace"`) and a stable 64-bit content
+/// digest of everything that determines the artifact's bytes. Writers are
 /// crash-safe (unique temp file, fsync, atomic rename — a loser of a
 /// same-key race simply renames over identical content); readers tolerate
 /// arbitrary corruption by evicting the damaged file and reporting a

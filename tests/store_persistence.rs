@@ -6,8 +6,8 @@
 //! panic, never silently wrong), and concurrent writers leave exactly one
 //! valid artifact with no torn reads.
 
-use replay_sim::{simulate, ConfigKind, SimConfig};
-use replay_store::Store;
+use replay_sim::{simulate, ConfigKind, SimConfig, SimResult, TraceStore};
+use replay_store::{artifact, Store};
 use replay_trace::workloads;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,9 +34,17 @@ fn sole_artifact(store: &Store) -> PathBuf {
     files.pop().unwrap()
 }
 
-/// Truncation at every prefix length, a bit flip in every byte, and a
-/// schema-version bump each make the reader evict the artifact and let the
-/// caller regenerate it. No corruption is ever served, none panics.
+/// Payload bytes between the sampled bit flips that also take the full
+/// on-disk evict-and-regenerate round (every header byte always does).
+const PAYLOAD_FLIP_STRIDE: usize = 64;
+
+/// Truncation at six prefix lengths, a bit flip in every byte, and a
+/// schema-version bump each fail the validation gate [`Store::load`]
+/// applies, without panicking. The truncations, the version bump, every
+/// header byte and an evenly spaced sample of payload bytes also go
+/// through the store on disk: the reader evicts the artifact, counts the
+/// eviction, and a regeneration restores byte-identical service. No
+/// corruption is ever served.
 #[test]
 fn corrupt_artifacts_are_evicted_and_regenerate() {
     let store = Store::open(scratch("faults")).unwrap();
@@ -44,25 +52,41 @@ fn corrupt_artifacts_are_evicted_and_regenerate() {
     assert!(store.save("trace", 0xfeed, &payload));
     let path = sole_artifact(&store);
     let pristine = std::fs::read(&path).unwrap();
-    let mut expected_evictions = 0;
+    assert_eq!(
+        artifact::decode(&pristine, "trace", 0xfeed),
+        Ok(&payload[..]),
+        "the pristine container validates"
+    );
 
-    let mut corruptions: Vec<Vec<u8>> = Vec::new();
+    // Each corruption, with whether it also takes the on-disk round.
+    let mut corruptions: Vec<(Vec<u8>, bool)> = Vec::new();
     // Truncations, including an empty file and a header-only file.
     for cut in [0, 1, 17, 39, 40, pristine.len() - 1] {
-        corruptions.push(pristine[..cut].to_vec());
+        corruptions.push((pristine[..cut].to_vec(), true));
     }
     // One flipped bit, everywhere from magic to final payload byte.
     for byte in 0..pristine.len() {
         let mut forged = pristine.clone();
         forged[byte] ^= 0x10;
-        corruptions.push(forged);
+        let sampled = byte < artifact::HEADER_LEN
+            || (byte - artifact::HEADER_LEN).is_multiple_of(PAYLOAD_FLIP_STRIDE)
+            || byte == pristine.len() - 1;
+        corruptions.push((forged, sampled));
     }
     // A forged future schema version (header bytes 4..8).
     let mut future = pristine.clone();
     future[4] = 0xff;
-    corruptions.push(future);
+    corruptions.push((future, true));
 
-    for (i, corrupt) in corruptions.iter().enumerate() {
+    let mut expected_evictions = 0;
+    for (i, (corrupt, on_disk)) in corruptions.iter().enumerate() {
+        assert!(
+            artifact::decode(corrupt, "trace", 0xfeed).is_err(),
+            "corruption #{i} must fail validation"
+        );
+        if !on_disk {
+            continue;
+        }
         std::fs::write(&path, corrupt).unwrap();
         assert_eq!(
             store.load("trace", 0xfeed),
@@ -77,6 +101,9 @@ fn corrupt_artifacts_are_evicted_and_regenerate() {
         assert!(store.save("trace", 0xfeed, &payload));
         assert_eq!(store.load("trace", 0xfeed).as_deref(), Some(&payload[..]));
     }
+    let header = artifact::HEADER_LEN as u64;
+    let sampled_payload = (payload.len() as u64).div_ceil(PAYLOAD_FLIP_STRIDE as u64) + 1;
+    assert_eq!(expected_evictions, 6 + header + sampled_payload + 1);
 }
 
 /// A payload readable under the wrong class or key is a forgery; the
@@ -150,10 +177,29 @@ fn concurrent_writers_leave_one_untorn_artifact() {
     assert!(payloads.contains(&last));
 }
 
+/// Asserts two simulations agree bit for bit, profile included.
+fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
+    assert_eq!(a.cycles, b.cycles, "{what}: cycles");
+    assert_eq!(a.x86_retired, b.x86_retired, "{what}: retired");
+    assert_eq!(
+        a.coverage.to_bits(),
+        b.coverage.to_bits(),
+        "{what}: coverage"
+    );
+    assert_eq!(a.dyn_uops_removed, b.dyn_uops_removed, "{what}: removal");
+    assert_eq!(
+        a.profile.to_json(false),
+        b.profile.to_json(false),
+        "{what}: profile"
+    );
+}
+
 /// The end-to-end warm-start contract through the process-global store:
-/// a warm RPO simulation is bit-identical to the cold one (including under
-/// concurrent warm replays), serves from disk, and survives corruption of
-/// every cached artifact by regenerating — still bit-identically.
+/// a run whose trace comes from disk is bit-identical to the cold run that
+/// synthesized and persisted it (including under concurrent warm runs),
+/// and corruption of every cached artifact is evicted and regenerated —
+/// still bit-identically. Each run gets a fresh [`TraceStore`], as a new
+/// process would, so its trace comes from disk or from synthesis.
 ///
 /// This is the only test allowed to touch [`Store::global`]; everything it
 /// checks happens sequentially inside one test body so no other test can
@@ -167,36 +213,46 @@ fn warm_start_is_bit_identical_and_corruption_tolerant() {
     );
     let store = Store::global().expect("global store enabled");
 
-    let trace = workloads::by_name("crafty")
-        .unwrap()
-        .segment_trace(0, 4_000);
+    let crafty = workloads::by_name("crafty").unwrap();
     let cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
+    let run = || {
+        let traces = TraceStore::with_disk(store);
+        let trace = traces.segment(&crafty, 0, 4_000);
+        (simulate(&trace, &cfg), traces)
+    };
 
-    let cold = simulate(&trace, &cfg);
-    assert!(store.writes() > 0, "cold run persists its frame bundle");
-    let cold_json = cold.profile.to_json(false);
+    let (cold, traces) = run();
+    assert_eq!(traces.generations(), 1, "cold run synthesizes its trace");
+    assert!(store.writes() > 0, "cold run persists its trace");
+    let artifacts: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        !artifacts.is_empty()
+            && artifacts
+                .iter()
+                .all(|f| f.starts_with("trace-") && f.ends_with(".rpa")),
+        "the store holds trace artifacts only: {artifacts:?}"
+    );
 
-    let hits_before = store.hits();
-    let warm = simulate(&trace, &cfg);
-    assert!(store.hits() > hits_before, "warm run reads the bundle");
-    assert_eq!(cold.cycles, warm.cycles);
-    assert_eq!(cold.x86_retired, warm.x86_retired);
-    assert_eq!(cold.coverage.to_bits(), warm.coverage.to_bits());
-    assert_eq!(cold.dyn_uops_removed, warm.dyn_uops_removed);
-    assert_eq!(cold_json, warm.profile.to_json(false), "profiles identical");
+    let (warm, traces) = run();
+    assert!(traces.disk_hits() > 0, "warm run reads its trace from disk");
+    assert_eq!(traces.generations(), 0, "warm run synthesizes nothing");
+    assert_identical(&cold, &warm, "warm");
 
-    // Concurrent warm replays (the `--jobs 8` shape): all bit-identical.
+    // Concurrent warm runs (the `--jobs 8` shape): all bit-identical.
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8).map(|_| s.spawn(|| simulate(&trace, &cfg))).collect();
+        let handles: Vec<_> = (0..8).map(|_| s.spawn(run)).collect();
         for h in handles {
-            let r = h.join().unwrap();
-            assert_eq!(r.cycles, cold.cycles);
-            assert_eq!(cold_json, r.profile.to_json(false));
+            let (r, traces) = h.join().unwrap();
+            assert_eq!(traces.generations(), 0, "concurrent warm run");
+            assert_identical(&cold, &r, "concurrent warm");
         }
     });
 
-    // Corrupt every artifact in the cache; the next run must regenerate
-    // gracefully and still match the cold run bit for bit.
+    // Corrupt every artifact in the cache; the next run must evict it,
+    // regenerate gracefully and still match the cold run bit for bit.
     let mut corrupted = 0;
     for entry in std::fs::read_dir(&dir).unwrap() {
         let path = entry.unwrap().path();
@@ -206,11 +262,12 @@ fn warm_start_is_bit_identical_and_corruption_tolerant() {
     }
     assert!(corrupted > 0, "cold run left artifacts to corrupt");
     let evictions_before = store.corrupt_evictions();
-    let recovered = simulate(&trace, &cfg);
-    assert!(
-        store.corrupt_evictions() > evictions_before,
-        "damaged artifacts were evicted"
+    let (recovered, traces) = run();
+    assert_eq!(
+        store.corrupt_evictions() - evictions_before,
+        corrupted,
+        "every damaged artifact was evicted"
     );
-    assert_eq!(cold.cycles, recovered.cycles);
-    assert_eq!(cold_json, recovered.profile.to_json(false));
+    assert_eq!(traces.generations(), 1, "the damaged trace is regenerated");
+    assert_identical(&cold, &recovered, "recovered");
 }
