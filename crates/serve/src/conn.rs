@@ -94,7 +94,7 @@ pub struct Conn<S> {
     /// Last time any byte moved — the idle-sweep clock.
     pub last_activity: Instant,
     /// Set when the request frame completed; latency is measured from
-    /// here, mirroring the thread-per-connection path.
+    /// here.
     pub received: Option<Instant>,
     len_buf: [u8; 4],
     filled: usize,

@@ -23,8 +23,8 @@
 //!   [`Doorbell::drain`] on wakeup).
 //! - [`supported`] — whether this target has the shim at all. On
 //!   unsupported targets every constructor returns
-//!   [`io::ErrorKind::Unsupported`] and the server falls back to the
-//!   thread-per-connection path.
+//!   [`io::ErrorKind::Unsupported`], which `Server::bind` reports as a
+//!   bind error.
 //!
 //! Tokens, not pointers, ride in `epoll_data`: the loop owns a map from
 //! token to connection, so there is no aliasing to get wrong and a stale
@@ -33,8 +33,8 @@
 use std::io;
 
 /// True when the readiness shim works on this target (Linux on x86_64 or
-/// aarch64). Everywhere else the event-driven server mode is unavailable
-/// and [`Poller::new`] returns [`io::ErrorKind::Unsupported`].
+/// aarch64). Everywhere else the server cannot bind: [`Poller::new`]
+/// returns [`io::ErrorKind::Unsupported`].
 pub const fn supported() -> bool {
     cfg!(all(
         target_os = "linux",

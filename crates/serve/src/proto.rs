@@ -104,8 +104,8 @@ pub struct Request {
     /// with [`Status::DeadlineExceeded`] instead of being simulated.
     pub deadline_ms: u64,
     /// Cluster routing flag: set when the sender has already routed this
-    /// request (a client that rotated off the ring owner, or a proxying
-    /// peer). A server must serve a relayed request locally — never
+    /// request (a client that followed a redirect or rotated off the ring
+    /// owner). A server must serve a relayed request locally — never
     /// answer [`Status::NotOwner`] — which is what bounds every request
     /// to at most one redirect and makes redirect loops impossible.
     /// Excluded from [`Request::key`]: routing does not change identity.

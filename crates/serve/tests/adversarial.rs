@@ -1,8 +1,8 @@
 //! Adversarial client tests for the event-driven serve core: slow-loris
 //! peers, one-byte dribblers, connect-and-idle floods, and mid-frame
 //! disconnects — none of which may starve a well-behaved request — plus
-//! the differential guarantee that both server fronts (event loop and
-//! thread-per-connection) serve byte-identical responses.
+//! concurrent seeded clients whose every body must equal the local
+//! report.
 //!
 //! These tests drive shutdown through [`Server::shutdown_flag`], never
 //! `signal::trigger()` (whose static flag is process-wide).
@@ -84,10 +84,8 @@ fn frame_bytes(req: &Request) -> Vec<u8> {
 
 #[test]
 fn one_byte_dribble_is_parsed_incrementally_and_answered_in_full() {
-    // Requires the event loop: only these fronts parse partial frames.
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        event_loop: true,
         ..ServerConfig::default()
     });
 
@@ -117,7 +115,6 @@ fn slow_loris_peers_are_timed_out_and_do_not_starve_service() {
     let loris_count = 16;
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        event_loop: true,
         io_timeout: Duration::from_millis(150),
         ..ServerConfig::default()
     });
@@ -133,9 +130,8 @@ fn slow_loris_peers_are_timed_out_and_do_not_starve_service() {
         })
         .collect();
 
-    // A well-behaved request sails past the stalled peers immediately —
-    // under the old thread front, 16 lorises against 2 reader threads
-    // would hold it hostage for ~8 io_timeout windows.
+    // A well-behaved request sails past the stalled peers immediately:
+    // a stalled peer holds only its own connection, never a thread.
     let mut c = client(&addr, 11);
     let t = std::time::Instant::now();
     assert_eq!(
@@ -167,7 +163,6 @@ fn slow_loris_peers_are_timed_out_and_do_not_starve_service() {
 fn connect_and_idle_peers_cost_nothing_and_are_never_timed_out() {
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        event_loop: true,
         io_timeout: Duration::from_millis(100),
         ..ServerConfig::default()
     });
@@ -198,7 +193,6 @@ fn connect_and_idle_peers_cost_nothing_and_are_never_timed_out() {
 fn mid_frame_disconnect_is_counted_and_service_continues() {
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        event_loop: true,
         ..ServerConfig::default()
     });
 
@@ -226,28 +220,35 @@ fn mid_frame_disconnect_is_counted_and_service_continues() {
 }
 
 #[test]
-fn event_and_thread_fronts_serve_identical_bytes() {
-    let oracle = local_report("twolf", 1);
-    let mut bodies = Vec::new();
-    for event_loop in [true, false] {
-        let (addr, stop, handle) = spawn_server(ServerConfig {
-            jobs: 1,
-            event_loop,
-            ..ServerConfig::default()
-        });
-        let mut c = client(&addr, 14);
-        bodies.push(body_of(
-            c.submit(&workload_request("twolf")).expect("submit"),
-        ));
-        stop.store(true, Ordering::SeqCst);
-        let stats = handle.join().expect("server thread");
-        assert_eq!(stats.served(), 1, "event_loop={event_loop}");
-    }
-    assert_eq!(
-        bodies[0], bodies[1],
-        "the two server fronts must serve byte-identical responses"
-    );
-    assert_eq!(bodies[0], oracle, "and both must match a local report");
+fn concurrent_seeded_clients_are_all_served_the_local_report() {
+    const CLIENTS: u64 = 6;
+    const REQS_PER_CLIENT: usize = 8;
+    const MIX: [&str; 3] = ["gzip", "twolf", "vortex"];
+    let oracles: Vec<String> = MIX.iter().map(|w| local_report(w, 2)).collect();
+    let (addr, stop, handle) = spawn_server(ServerConfig::default());
+
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (addr, oracles) = (&addr, &oracles);
+            scope.spawn(move || {
+                let mut client = client(addr, 1000 + c);
+                for r in 0..REQS_PER_CLIENT {
+                    let w = (c as usize + r) % MIX.len();
+                    let body = body_of(
+                        client
+                            .submit(&workload_request(MIX[w]))
+                            .expect("submit converges"),
+                    );
+                    assert_eq!(body, oracles[w], "client {c} request {r} ({})", MIX[w]);
+                }
+            });
+        }
+    });
+
+    stop.store(true, Ordering::SeqCst);
+    let stats = handle.join().expect("server thread");
+    assert_eq!(stats.served(), CLIENTS * REQS_PER_CLIENT as u64);
+    assert_eq!(stats.write_failed(), 0);
 }
 
 #[test]
@@ -283,11 +284,8 @@ fn deadline_responses_land_in_the_latency_histogram() {
 fn five_thousand_idle_or_slow_connections_do_not_starve_a_real_request() {
     const TOTAL: usize = 5_000;
     const SLOW: usize = 500; // the rest are pure idlers
-    if !poll::supported() {
-        return; // the thread front cannot (and need not) hold 5k sockets
-    }
-    // Each held connection is one fd on the client side and one on the
-    // server side, both in this process.
+                             // Each held connection is one fd on the client side and one on the
+                             // server side, both in this process.
     if poll::raise_nofile_limit((4 * TOTAL) as u64).is_err() {
         let (soft, _) = poll::nofile_limits().unwrap_or((0, 0));
         assert!(
@@ -298,7 +296,6 @@ fn five_thousand_idle_or_slow_connections_do_not_starve_a_real_request() {
 
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        event_loop: true,
         // Long enough that the slow dribblers are never swept mid-test.
         io_timeout: Duration::from_secs(60),
         ..ServerConfig::default()
@@ -316,8 +313,7 @@ fn five_thousand_idle_or_slow_connections_do_not_starve_a_real_request() {
     }
 
     // With five thousand connections parked, a well-behaved request must
-    // still be answered with exactly the local-report bytes (which the
-    // differential test above pins to the thread-front baseline).
+    // still be answered with exactly the local-report bytes.
     let mut c = client(&addr, 16);
     let body = body_of(
         c.submit(&workload_request("gzip"))

@@ -163,17 +163,15 @@ fn unknown_workload_is_a_typed_terminal_rejection() {
 
 #[test]
 fn overload_sheds_typed_and_seeded_backoff_converges() {
-    // One-slot queues and a dispatcher that holds each batch long enough
+    // A one-slot work queue and a dispatcher that holds each batch long enough
     // for concurrent submitters to pile up: some requests must be shed
     // with a typed Overloaded (not a hang, not a dropped connection), and
     // a client retrying on its seeded backoff schedule must still land
     // every request eventually.
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        conn_queue: 1,
         work_queue: 1,
         batch_max: 1,
-        readers: 1,
         batch_hold: Duration::from_millis(150),
         ..ServerConfig::default()
     });
@@ -206,7 +204,7 @@ fn overload_sheds_typed_and_seeded_backoff_converges() {
     assert!(stats.served() >= 1);
     assert!(
         stats.shed() > 0,
-        "six concurrent clients against one-slot queues must shed at least once; stats: served={} shed={}",
+        "six concurrent clients against a one-slot queue must shed at least once; stats: served={} shed={}",
         stats.served(),
         stats.shed()
     );
